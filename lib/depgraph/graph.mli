@@ -61,7 +61,6 @@ val copy : t -> t
 val mark_upwards_exposed : t -> Ast.aid -> unit
 val mark_downwards_exposed : t -> Ast.aid -> unit
 val mark_killed_after_loop : t -> Ast.aid -> unit
-val bump_count : t -> Ast.aid -> unit
 val edges : t -> edge list
 val is_upwards_exposed : t -> Ast.aid -> bool
 val is_downwards_exposed : t -> Ast.aid -> bool

@@ -171,19 +171,57 @@ type inv_plan = {
           merged at loop exit as pre + sum of per-domain deltas *)
 }
 
+(* Invocation and iteration counts of the parallel loops, for the loop
+   reports. Only an outermost activation counts (a parallel loop entered
+   while another is open runs inline), and an invocation's iterations
+   are the index of its last [Iter] event. *)
+type loop_counts = {
+  lc_inv : (Ast.lid, int) Hashtbl.t;
+  lc_iters : (Ast.lid, int) Hashtbl.t;
+  mutable lc_open : (Ast.lid * int) option;  (** open loop, its last [Iter] *)
+}
+
+let loop_counts lids =
+  let lc =
+    { lc_inv = Hashtbl.create 8; lc_iters = Hashtbl.create 8; lc_open = None }
+  in
+  List.iter
+    (fun lid ->
+      Hashtbl.replace lc.lc_inv lid 0;
+      Hashtbl.replace lc.lc_iters lid 0)
+    lids;
+  lc
+
+let count_loop_event lc lid (ev : Interp.Machine.loop_event) =
+  if Hashtbl.mem lc.lc_inv lid then
+    match (ev, lc.lc_open) with
+    | Interp.Machine.Enter, None -> lc.lc_open <- Some (lid, 0)
+    | Interp.Machine.Iter i, Some (l, _) when l = lid ->
+      lc.lc_open <- Some (lid, i)
+    | Interp.Machine.Exit, Some (l, it) when l = lid ->
+      Hashtbl.replace lc.lc_inv lid (Hashtbl.find lc.lc_inv lid + 1);
+      Hashtbl.replace lc.lc_iters lid (Hashtbl.find lc.lc_iters lid + it);
+      lc.lc_open <- None
+    | _ -> ()
+
 type prepass = {
   pp_decisions : (Ast.lid, decision) Hashtbl.t;
   pp_invs : (Ast.lid * int, inv_plan) Hashtbl.t;
-  pp_inv_count : (Ast.lid, int) Hashtbl.t;
-  pp_iters : (Ast.lid, int) Hashtbl.t;
+  pp_counts : loop_counts;
+  pp_stopped : bool;
+      (** every loop was replicated before the program ended, so the
+          pre-pass stopped there and [pp_counts] is partial *)
 }
+
+exception All_replicated
 
 type pre_active = {
   pa_lid : Ast.lid;
   pa_inv : int;
+  pa_stamp : int;  (** activation number (from 1), stamped into the shadow *)
+  pa_static : loop_static;
+  mutable pa_live : bool;  (** the loop is still distributed *)
   mutable pa_iter : int;
-  pa_shadow : (int, int) Hashtbl.t;  (** 8-byte granule -> last writer *)
-  pa_body_written : (int, unit) Hashtbl.t;  (** granules stored by the body *)
   pa_stepv : (int, unit) Hashtbl.t;  (** induction vars advanced in the step *)
   pa_bodyv : (int, int) Hashtbl.t;  (** induction vars advanced in the body *)
   pa_otherload : (int, unit) Hashtbl.t;
@@ -195,20 +233,27 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
     ~(lids : Ast.lid list) ~(domains : int) : prepass =
   let decisions = Hashtbl.create 8 in
   let invs = Hashtbl.create 16 in
-  let inv_count = Hashtbl.create 8 in
-  let iters = Hashtbl.create 8 in
+  let counts = loop_counts lids in
   let statics = Hashtbl.create 8 in
   let upd_stores, upd_loads = induction_update_aids prog in
+  (* loops still distributed; a decision only ever moves to replicated,
+     so once this reaches 0 the rest of the run cannot change any *)
+  let undecided = ref 0 in
+  let active : pre_active option ref = ref None in
   let demote lid why =
     match Hashtbl.find_opt decisions lid with
-    | Some Distributed -> Hashtbl.replace decisions lid (Replicated why)
+    | Some Distributed ->
+      Hashtbl.replace decisions lid (Replicated why);
+      decr undecided;
+      (match !active with
+      | Some pa when pa.pa_lid = lid -> pa.pa_live <- false
+      | _ -> ())
     | _ -> ()
   in
   List.iter
     (fun lid ->
+      if not (Hashtbl.mem decisions lid) then incr undecided;
       Hashtbl.replace decisions lid Distributed;
-      Hashtbl.replace inv_count lid 0;
-      Hashtbl.replace iters lid 0;
       let ls = loop_static_of prog lid in
       Hashtbl.replace statics lid ls;
       match ls.ls_early_exit with
@@ -218,68 +263,82 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
   let m = Interp.Machine.load prog in
   let st = m.Interp.Machine.st in
   Interp.Machine.set_global_int st Expand.Names.nthreads domains;
-  let active : pre_active option ref = ref None in
-  let live pa =
-    match Hashtbl.find_opt decisions pa.pa_lid with
-    | Some Distributed -> true
-    | _ -> false
+  let activations = ref 0 in
+  (* Per access id, looked up on every observed access: bit 0 the plan
+     gives it the induction verdict, bit 1 it is the store of an
+     induction update, bit 2 that update's load. [load] stamped the
+     program's last aids, so every observed aid is below [next_aid]. *)
+  let aid_bits =
+    Array.init prog.Ast.next_aid (fun aid ->
+        (match Expand.Plan.verdict plan aid with
+        | Privatize.Classify.Induction -> 1
+        | _ -> 0)
+        lor (if Hashtbl.mem upd_stores aid then 2 else 0)
+        lor if Hashtbl.mem upd_loads aid then 4 else 0)
   in
+  (* Per 8-byte granule: [sh_written] and [sh_body] hold the stamp of
+     the activation that last stored it (from anywhere / from the body)
+     and [sh_iter] that store's iteration; a stale stamp reads as never
+     written, so a new activation starts clean without a sweep. *)
+  let shadow = Depgraph.Shadow.create ~granule_bits:3 ~planes:3 () in
+  let sh_written = 0 and sh_iter = 1 and sh_body = 2 in
   let on_store pa ~is_step addr size =
-    let g0 = addr lsr 3 and g1 = (addr + size - 1) lsr 3 in
-    for g = g0 to g1 do
-      Hashtbl.replace pa.pa_shadow g pa.pa_iter;
-      if not is_step then Hashtbl.replace pa.pa_body_written g ()
+    for g = addr lsr 3 to (addr + size - 1) lsr 3 do
+      let p = Depgraph.Shadow.page shadow (g lsl 3)
+      and s = Depgraph.Shadow.index shadow (g lsl 3) in
+      p.(sh_written + s) <- pa.pa_stamp;
+      p.(sh_iter + s) <- pa.pa_iter;
+      if not is_step then p.(sh_body + s) <- pa.pa_stamp
     done
   in
   let on_load pa ~is_step addr size =
-    let g0 = addr lsr 3 and g1 = (addr + size - 1) lsr 3 in
-    for g = g0 to g1 do
-      (match Hashtbl.find_opt pa.pa_shadow g with
-      | Some j when j <> pa.pa_iter ->
-        demote pa.pa_lid "loop-carried flow dependence"
-      | _ -> ());
-      (* the step runs on every machine, so it must not read values
-         produced by bodies that machine did not execute *)
-      if is_step && Hashtbl.mem pa.pa_body_written g then
-        demote pa.pa_lid "the step reads data written by the loop body"
+    for g = addr lsr 3 to (addr + size - 1) lsr 3 do
+      let p = Depgraph.Shadow.find_page shadow (g lsl 3) in
+      if Array.length p > 0 then begin
+        let s = Depgraph.Shadow.index shadow (g lsl 3) in
+        if p.(sh_written + s) = pa.pa_stamp && p.(sh_iter + s) <> pa.pa_iter
+        then demote pa.pa_lid "loop-carried flow dependence";
+        (* the step runs on every machine, so it must not read values
+           produced by bodies that machine did not execute *)
+        if is_step && p.(sh_body + s) = pa.pa_stamp then
+          demote pa.pa_lid "the step reads data written by the loop body"
+      end
     done
   in
   st.Interp.Machine.observer <-
     Some
       (fun aid kind addr size ->
         match !active with
-        | Some pa when live pa ->
+        | Some pa when pa.pa_live ->
           if
             addr >= st.Interp.Machine.stack_base
             && addr < st.Interp.Machine.stack_limit
           then ()
           else begin
-            let ls = Hashtbl.find statics pa.pa_lid in
-            let is_step = Hashtbl.mem ls.ls_step_aids aid in
-            match Expand.Plan.verdict plan aid with
-            | Privatize.Classify.Induction -> (
+            let is_step = Hashtbl.mem pa.pa_static.ls_step_aids aid in
+            let bits = aid_bits.(aid) in
+            if bits land 1 = 0 then
+              match kind with
+              | Visit.Store -> on_store pa ~is_step addr size
+              | Visit.Load -> on_load pa ~is_step addr size
+            else
               match kind with
               | Visit.Store ->
                 if is_step then Hashtbl.replace pa.pa_stepv addr ()
-                else if Hashtbl.mem upd_stores aid then
+                else if bits land 2 <> 0 then
                   Hashtbl.replace pa.pa_bodyv addr size
                 else
                   demote pa.pa_lid
                     "induction store outside the x = x +/- c shape"
               | Visit.Load ->
-                if Hashtbl.mem upd_loads aid then ()
-                else Hashtbl.replace pa.pa_otherload addr ())
-            | _ -> (
-              match kind with
-              | Visit.Store -> on_store pa ~is_step addr size
-              | Visit.Load -> on_load pa ~is_step addr size)
+                if bits land 4 = 0 then Hashtbl.replace pa.pa_otherload addr ()
           end
         | _ -> ());
   st.Interp.Machine.bulk_hook <-
     Some
       (fun dst src len ->
         match !active with
-        | Some pa when live pa && len > 0 ->
+        | Some pa when pa.pa_live && len > 0 ->
           let stacky a =
             a >= st.Interp.Machine.stack_base
             && a < st.Interp.Machine.stack_limit
@@ -304,21 +363,22 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
   st.Interp.Machine.loop_hook <-
     Some
       (fun lid ev ->
-        if Hashtbl.mem decisions lid then
-          match ev with
+        if Hashtbl.mem decisions lid then begin
+          (match ev with
           | Interp.Machine.Enter -> (
             match !active with
             | Some _ -> demote lid "nested inside another parallelized loop"
             | None ->
-              let inv = Hashtbl.find inv_count lid in
+              incr activations;
               active :=
                 Some
                   {
                     pa_lid = lid;
-                    pa_inv = inv;
+                    pa_inv = Hashtbl.find counts.lc_inv lid;
+                    pa_stamp = !activations;
+                    pa_static = Hashtbl.find statics lid;
+                    pa_live = Hashtbl.find decisions lid = Distributed;
                     pa_iter = 0;
-                    pa_shadow = Hashtbl.create 256;
-                    pa_body_written = Hashtbl.create 256;
                     pa_stepv = Hashtbl.create 4;
                     pa_bodyv = Hashtbl.create 4;
                     pa_otherload = Hashtbl.create 4;
@@ -331,7 +391,7 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
           | Interp.Machine.Exit -> (
             match !active with
             | Some pa when pa.pa_lid = lid ->
-              if live pa then begin
+              if pa.pa_live then begin
                 if st.Interp.Machine.rand_state <> pa.pa_rand0 then
                   demote lid "rand() advances inside the loop";
                 Hashtbl.iter
@@ -346,7 +406,7 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
                       demote lid "induction value read outside its own update")
                   pa.pa_otherload
               end;
-              if live pa then begin
+              if pa.pa_live then begin
                 let deltas =
                   Hashtbl.fold (fun a s acc -> (a, s) :: acc) pa.pa_bodyv []
                   |> List.sort compare |> Array.of_list
@@ -354,23 +414,32 @@ let prepass ~(prog : Ast.program) ~(plan : Expand.Plan.t)
                 Hashtbl.replace invs (lid, pa.pa_inv)
                   { ip_trip = pa.pa_iter; ip_deltas = deltas }
               end;
-              Hashtbl.replace inv_count lid (pa.pa_inv + 1);
-              Hashtbl.replace iters lid
-                (Hashtbl.find iters lid + pa.pa_iter);
               active := None
-            | _ -> ()))
-      ;
-  (try ignore (Interp.Machine.run m)
-   with Interp.Machine.Exit_program _ -> ());
+            | _ -> ()));
+          count_loop_event counts lid ev;
+          if !undecided = 0 then raise All_replicated
+        end);
+  let stopped =
+    !undecided = 0
+    ||
+    match Interp.Machine.run m with
+    | _ -> false
+    | exception Interp.Machine.Exit_program _ -> false
+    | exception All_replicated -> true
+  in
   (match !active with
   | Some pa -> demote pa.pa_lid "the program exits inside the loop"
   | None -> ());
   {
     pp_decisions = decisions;
     pp_invs = invs;
-    pp_inv_count = inv_count;
-    pp_iters = iters;
+    pp_counts = counts;
+    pp_stopped = stopped;
   }
+
+let prepass_decisions ~domains prog plan lids =
+  let pp = prepass ~prog ~plan ~lids ~domains in
+  List.map (fun lid -> (lid, Hashtbl.find pp.pp_decisions lid)) lids
 
 (* ------------------------------------------------------------------ *)
 (* Write logs                                                          *)
@@ -536,6 +605,10 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
   | None ->
     let n = requested in
     let pp = prepass ~prog ~plan ~lids ~domains:n in
+    (* A stopped pre-pass left its counts partial; domain 0 then counts
+       the loops afresh, running each one in full as the pre-pass
+       would have. *)
+    let counts = if pp.pp_stopped then loop_counts lids else pp.pp_counts in
     (* Shared slots for every distributed invocation. *)
     let slots : (Ast.lid * int, slot) Hashtbl.t = Hashtbl.create 16 in
     let max_own = ref 1 in
@@ -772,36 +845,40 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                      "chunk %d of loop %d inv %d recorded no bytes to corrupt"
                      c ck.ck_lid ck.ck_inv)
       in
-      st.Interp.Machine.observer <-
-        Some
-          (fun aid kind addr size ->
-            match !active with
-            | Some da when da.da_logging -> (
-              match kind with
-              | Visit.Store ->
-                if
-                  addr >= st.Interp.Machine.stack_base
-                  && addr < st.Interp.Machine.stack_limit
-                then ()
-                else if
-                  match Expand.Plan.verdict plan aid with
-                  | Privatize.Classify.Induction -> true
-                  | _ -> false
-                then () (* delta-merged (body) or replicated (step) *)
-                else log_store da.da_log st.Interp.Machine.mem addr size
-              | Visit.Load -> ())
-            | _ -> ());
-      st.Interp.Machine.bulk_hook <-
-        Some
-          (fun dst _src len ->
-            match !active with
-            | Some da
-              when da.da_logging && len > 0
-                   && not
-                        (dst >= st.Interp.Machine.stack_base
-                        && dst < st.Interp.Machine.stack_limit) ->
-              log_store da.da_log st.Interp.Machine.mem dst len
-            | _ -> ());
+      (* Both hooks only log owned iterations of distributed loops;
+         with none, every access skips the call. *)
+      if Hashtbl.length slots > 0 then begin
+        st.Interp.Machine.observer <-
+          Some
+            (fun aid kind addr size ->
+              match !active with
+              | Some da when da.da_logging -> (
+                match kind with
+                | Visit.Store ->
+                  if
+                    addr >= st.Interp.Machine.stack_base
+                    && addr < st.Interp.Machine.stack_limit
+                  then ()
+                  else if
+                    match Expand.Plan.verdict plan aid with
+                    | Privatize.Classify.Induction -> true
+                    | _ -> false
+                  then () (* delta-merged (body) or replicated (step) *)
+                  else log_store da.da_log st.Interp.Machine.mem addr size
+                | Visit.Load -> ())
+              | _ -> ());
+        st.Interp.Machine.bulk_hook <-
+          Some
+            (fun dst _src len ->
+              match !active with
+              | Some da
+                when da.da_logging && len > 0
+                     && not
+                          (dst >= st.Interp.Machine.stack_base
+                          && dst < st.Interp.Machine.stack_limit) ->
+                log_store da.da_log st.Interp.Machine.mem dst len
+              | _ -> ())
+      end;
       st.Interp.Machine.loop_hook <-
         Some
           (fun lid ev ->
@@ -810,6 +887,7 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                bounded time (straight-line code between loop events is
                finite, and the interpreter's fuel bounds the rest) *)
             (match sup with Some sv -> sv.sv_tick () | None -> ());
+            if d = 0 && pp.pp_stopped then count_loop_event counts lid ev;
             if Hashtbl.mem pp.pp_decisions lid then
               match ev with
               | Interp.Machine.Enter -> (
@@ -1079,9 +1157,9 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
               Option.value ~default:Distributed
                 (Hashtbl.find_opt pp.pp_decisions lid);
             lr_invocations =
-              Option.value ~default:0 (Hashtbl.find_opt pp.pp_inv_count lid);
+              Option.value ~default:0 (Hashtbl.find_opt counts.lc_inv lid);
             lr_iterations =
-              Option.value ~default:0 (Hashtbl.find_opt pp.pp_iters lid);
+              Option.value ~default:0 (Hashtbl.find_opt counts.lc_iters lid);
           })
         lids
     in

@@ -126,6 +126,15 @@ val decision_to_string : decision -> string
 (** [Domain.recommended_domain_count ()]. *)
 val available_domains : unit -> int
 
+(** The distribution-safety pre-pass alone, as {!run} makes it at
+    [domains] domains: each of [lids] with its decision, in order. *)
+val prepass_decisions :
+  domains:int ->
+  Ast.program ->
+  Expand.Plan.t ->
+  Ast.lid list ->
+  (Ast.lid * decision) list
+
 (** Run an expanded program on real domains. [domains] defaults to
     {!available_domains}; when only one core is available the run
     falls back to sequential execution unless [force] is set (domains

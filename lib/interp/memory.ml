@@ -110,8 +110,10 @@ let free m base =
     l := base :: !l
   end
 
+let in_bounds m addr size = addr >= base_address && addr + size <= m.brk
+
 let check m addr size =
-  if addr < base_address || addr + size > m.brk then
+  if not (in_bounds m addr size) then
     fault "out-of-bounds access: address %d, size %d (arena ends at %d)" addr
       size m.brk
 

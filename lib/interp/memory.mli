@@ -28,6 +28,10 @@ val block_size : t -> int -> int
 (** Free a block by base address; freeing address 0 is a no-op. *)
 val free : t -> int -> unit
 
+(** Whether [size] bytes at [addr] lie in the arena handed out so far,
+    i.e. whether an access there would not raise {!Fault}. *)
+val in_bounds : t -> int -> int -> bool
+
 (** Little-endian loads/stores of 1/2/4/8 bytes; integer loads
     sign-extend (MiniC's all-signed model). *)
 val load : t -> int -> int -> int64

@@ -201,6 +201,21 @@ let distributes_doall () =
   Alcotest.(check bool) "both domains ran chunks" true
     (Array.for_all (fun c -> c > 0) r.Domexec.Exec.dx_chunks_run)
 
+(* The watchdog ticks every [watchdog_ms / 4] (15 s here); a clean
+   supervised call must not wait out the tick to join it. *)
+let watchdog_joins_promptly () =
+  let _, lids, res = expand doall_src in
+  let t0 = Unix.gettimeofday () in
+  let sup =
+    Domexec.Supervisor.run ~domains:2 ~force:true ~watchdog_ms:60000
+      res.Expand.Transform.transformed res.Expand.Transform.plan lids
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "completed" "completed"
+    (Domexec.Supervisor.outcome_to_string sup.Domexec.Supervisor.sup_outcome);
+  if wall > 5. then
+    Alcotest.failf "supervised call took %.1f s with a 15 s watchdog tick" wall
+
 (* A shared counter bumped once per iteration is an induction variable:
    it must be delta-merged across domains, not write-logged (each
    domain only sees its own bumps during the loop). *)
@@ -282,6 +297,66 @@ let replicates_on_carried_dep () =
   | Domexec.Exec.Replicated _ -> ()
   | Domexec.Exec.Distributed ->
     Alcotest.fail "loop-carried flow must not be distributed"
+
+(* Every loop here is replicated before the program ends, so the
+   pre-pass stops early (inside the last loop's first iteration) and
+   domain 0 counts the loops instead: the reports must still give each
+   outermost activation and its iterations, and nothing for the loop
+   nested inside another parallel loop. *)
+let counts_src = {|
+int acc[40];
+int out[40];
+int grid[6];
+void step(int k)
+{
+  int i;
+#pragma parallel
+  for (i = 1; i < 10 + k; i++) acc[i] = acc[i - 1] + i;
+#pragma parallel
+  for (i = 0; i < 8; i++) {
+    int *p = (int *)malloc(sizeof(int) * 2);
+    p[0] = i * k;
+    out[i] = p[0] + 1;
+    free(p);
+  }
+}
+int main(void)
+{
+  int k;
+  int j;
+  acc[0] = 1;
+  for (k = 0; k < 3; k++) step(k);
+#pragma parallel
+  for (k = 1; k < 6; k++) {
+    grid[k] = grid[k - 1] + k;
+#pragma parallel
+    for (j = 0; j < 4; j++) out[j] = out[j] + grid[k];
+  }
+  printf("%d %d %d\n", acc[11], out[7], out[3]);
+  return 0;
+}|}
+
+let counts_all_replicated () =
+  let r = run_domains ~domains:2 counts_src in
+  let got =
+    List.map
+      (fun (lr : Domexec.Exec.loop_report) ->
+        ( (match lr.Domexec.Exec.lr_decision with
+          | Domexec.Exec.Replicated _ -> "replicated"
+          | Domexec.Exec.Distributed -> "distributed"),
+          lr.Domexec.Exec.lr_invocations,
+          lr.Domexec.Exec.lr_iterations ))
+      r.Domexec.Exec.dx_loops
+  in
+  Alcotest.(check (list (triple string int int)))
+    "decision, invocations, iterations per loop"
+    [
+      ("replicated", 3, 30);
+      ("replicated", 3, 24);
+      ("replicated", 1, 5);
+      ("replicated", 0, 0);
+    ]
+    got
 
 let zero_trip_src = {|
 int n;
@@ -379,12 +454,16 @@ let () =
       ( "executor",
         [
           Alcotest.test_case "distributes DOALL" `Quick distributes_doall;
+          Alcotest.test_case "watchdog joins promptly" `Quick
+            watchdog_joins_promptly;
           Alcotest.test_case "delta-merges induction" `Quick
             delta_merges_induction;
           Alcotest.test_case "splices output" `Quick splices_output;
           Alcotest.test_case "replicates on alloc" `Quick replicates_on_alloc;
           Alcotest.test_case "replicates on carried dep" `Quick
             replicates_on_carried_dep;
+          Alcotest.test_case "counts loops when all replicate" `Quick
+            counts_all_replicated;
           Alcotest.test_case "zero-trip loop" `Quick zero_trip;
           Alcotest.test_case "steals under imbalance" `Quick
             steals_under_imbalance;

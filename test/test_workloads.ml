@@ -14,6 +14,38 @@ let load (w : Workloads.Workload.t) =
   let analyses = List.map (Privatize.Analyze.analyze p) lids in
   (p, lids, analyses)
 
+(* Per workload: the digest of each loop's profiled graph
+   ([Graph_dump.digest]) and the pre-pass decision at 2 domains. *)
+let pinned =
+  [
+    ( "dijkstra",
+      ( [ (8, "92aeb7e9b2587081bb7d03e1a2ca92ba") ],
+        [ (8, "replicated (allocates inside the loop body)") ] ) );
+    ( "md5",
+      ( [ (7, "cf0dc612fc29e4744cc4893a02ff369e") ],
+        [ (7, "distributed") ] ) );
+    ( "mpeg2-encoder",
+      ( [ (12, "eda7c18a1e02d2dd2bd57bdcfc4b69bb") ],
+        [ (12, "distributed") ] ) );
+    ( "mpeg2-decoder",
+      ( [ (15, "f6e2b6838ba1168ca7cba2761c439f29") ],
+        [ (15, "distributed") ] ) );
+    ( "h263-encoder",
+      ( [ (10, "fa07754cd4a08972f32f5631357e58b9");
+          (11, "2e456a3649c34a42edcd368075d0df7c") ],
+        [ (10, "distributed");
+          (11, "distributed") ] ) );
+    ( "256.bzip2",
+      ( [ (17, "917cbdf1353cc56512a4fd6a4f16109b") ],
+        [ (17, "replicated (loop-carried flow dependence)") ] ) );
+    ( "456.hmmer",
+      ( [ (11, "d020fedd1ddd24905171a7afa25f64b3") ],
+        [ (11, "replicated (loop-carried flow dependence)") ] ) );
+    ( "470.lbm",
+      ( [ (7, "67da7875a8b3b9f3300f5ca33728cffd") ],
+        [ (7, "distributed") ] ) );
+  ]
+
 let static_checks (w : Workloads.Workload.t) () =
   let p, lids, analyses = load w in
   Alcotest.(check int)
@@ -45,6 +77,23 @@ let static_checks (w : Workloads.Workload.t) () =
     (Printf.sprintf "privatized count %d within 2 of paper's %d" ours paper)
     true
     (abs (ours - paper) <= 2);
+  (* the profiler's graphs and the pre-pass decisions stay exactly as
+     pinned *)
+  let graphs, decisions = List.assoc w.Workloads.Workload.name pinned in
+  Alcotest.(check (list (pair int string)))
+    "graph digests" graphs
+    (List.map2
+       (fun lid (a : Privatize.Analyze.result) ->
+         ( lid,
+           Graph_dump.digest
+             a.Privatize.Analyze.profile.Depgraph.Profiler.graph ))
+       lids analyses);
+  Alcotest.(check (list (pair int string)))
+    "pre-pass decisions" decisions
+    (List.map
+       (fun (lid, d) -> (lid, Domexec.Exec.decision_to_string d))
+       (Domexec.Exec.prepass_decisions ~domains:2
+          res.Expand.Transform.transformed res.Expand.Transform.plan lids));
   (* loops dominate execution like Table 4's %time column *)
   let prof_loop =
     List.fold_left
