@@ -475,7 +475,7 @@ type slot = {
   sl_nchunks : int;
   sl_logs : string option array;  (** per-iteration write log *)
   sl_outs : string option array;  (** per-iteration output fragment *)
-  sl_deltas : int64 array array;  (** per domain, per induction var *)
+  sl_deltas : int array array;  (** per domain, per induction var *)
   sl_delta_addrs : (int * int) array;
   sl_sums : string array;
       (** supervised runs only: per-chunk digest of logs+outs, taken at
@@ -551,7 +551,7 @@ type dom_active = {
   da_log : Buffer.t;
   mutable da_out_start : int;
   da_enter_out : int;
-  da_pre : int64 array;  (** induction pre-values at loop entry *)
+  da_pre : int array;  (** induction pre-values at loop entry *)
   mutable da_chunk_t0 : int;  (** ns at chunk acquisition; -1 = none *)
 }
 
@@ -630,7 +630,7 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
               sl_outs = Array.make ip.ip_trip None;
               sl_deltas =
                 Array.init n (fun _ ->
-                    Array.make (Array.length ip.ip_deltas) 0L);
+                    Array.make (Array.length ip.ip_deltas) 0);
               sl_delta_addrs = ip.ip_deltas;
               sl_sums = Array.make nchunks "";
               sl_done = Array.make nchunks false;
@@ -997,7 +997,7 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                       let cur =
                         Interp.Memory.load st.Interp.Machine.mem addr size
                       in
-                      slot.sl_deltas.(d).(j) <- Int64.sub cur da.da_pre.(j))
+                      slot.sl_deltas.(d).(j) <- cur - da.da_pre.(j))
                     slot.sl_delta_addrs;
                   Barrier.wait barrier;
                   (* Supervised runs verify every chunk before trusting
@@ -1043,11 +1043,15 @@ let run ?domains ?chunk ?(force = false) ?sup ?trace (prog : Ast.program)
                       apply_log st.Interp.Machine.mem log
                     | None -> ()
                   done;
+                  (* native sums wrap at 63 bits: the stored low bytes
+                     are exact for every width, and an 8-byte total is
+                     exact whenever the sequential value fits (where it
+                     does not, the sequential machine raises) *)
                   Array.iteri
                     (fun j (addr, size) ->
                       let sum = ref da.da_pre.(j) in
                       for t = 0 to n - 1 do
-                        sum := Int64.add !sum slot.sl_deltas.(t).(j)
+                        sum := !sum + slot.sl_deltas.(t).(j)
                       done;
                       Interp.Memory.store st.Interp.Machine.mem addr size !sum)
                     slot.sl_delta_addrs;

@@ -40,7 +40,16 @@ let kind_char = function Visit.Load -> 'L' | Visit.Store -> 'S'
 
 let read_bytes mem addr size : string =
   String.init size (fun i ->
-      Char.chr (Int64.to_int (Interp.Memory.load mem (addr + i) 1) land 0xff))
+      Char.chr (Interp.Memory.load mem (addr + i) 1 land 0xff))
+
+(* The value at an access as a 64-bit pattern. An 8-byte access is read
+   as two 4-byte halves: a double's bits need not fit in a 63-bit int. *)
+let load_bits mem addr size : int64 =
+  if size = 8 then
+    Int64.logor
+      (Int64.shift_left (Int64.of_int (Interp.Memory.load mem (addr + 4) 4)) 32)
+      (Int64.logand (Int64.of_int (Interp.Memory.load mem addr 4)) 0xFFFFFFFFL)
+  else Int64.of_int (Interp.Memory.load mem addr size)
 
 (** Access sites of the analyses' loops whose lvalue is not
     pointer-typed (pointer values are addresses and legitimately
@@ -100,7 +109,7 @@ let oracle_of (prog : Ast.program)
               b
           in
           Buffer.add_char buf (kind_char kind);
-          Buffer.add_int64_le buf (Interp.Memory.load st.Interp.Machine.mem addr size)
+          Buffer.add_int64_le buf (load_bits st.Interp.Machine.mem addr size)
         end);
   let exit_code = Interp.Machine.run m in
   let streams = Hashtbl.create 64 in
@@ -184,9 +193,7 @@ let attach (oracle : oracle) (plan : Expand.Plan.t) (m : Interp.Machine.t) :
             else begin
               let want_kind = Bytes.get stream !cur in
               let want = Bytes.get_int64_le stream (!cur + 1) in
-              let got =
-                Interp.Memory.load st.Interp.Machine.mem addr size
-              in
+              let got = load_bits st.Interp.Machine.mem addr size in
               cur := !cur + 9;
               Telemetry.Span.count "contract.stream_checks" 1;
               if want_kind <> kind_char kind || want <> got then

@@ -1,6 +1,11 @@
 (** The MiniC abstract machine.
 
-    Programs are compiled once into OCaml closures. The machine is
+    Programs are compiled once into OCaml closures over unboxed
+    values: [int] for the integer kinds and pointers, [float] for
+    float and double. A [long] is exact or the machine raises
+    {!Runtime_error}: a constant, arithmetic result, conversion or
+    8-byte load whose 64-bit value does not fit in a 63-bit [int]
+    never yields a different value. The machine is
     deterministic and instrumented: every dynamic memory access
     reports (access id, kind, address, size) to an optional observer
     (the dependence profiler); every access may be surcharged by an
@@ -10,8 +15,6 @@
     DESIGN.md. *)
 
 open Minic
-
-type value = Vint of int64 | Vfloat of float
 
 type stats = {
   mutable n_loads : int;

@@ -117,25 +117,33 @@ let check m addr size =
     fault "out-of-bounds access: address %d, size %d (arena ends at %d)" addr
       size m.brk
 
-(* Little-endian fixed-width accessors; loads sign-extend, matching
-   MiniC's all-signed integer model. *)
+(* Little-endian fixed-width accessors on native ints; loads
+   sign-extend, matching MiniC's all-signed integer model. An 8-byte
+   value that does not fit in OCaml's 63-bit [int] faults rather than
+   load as a different number; stores keep the low [size] bytes. *)
 
-let load m addr size : int64 =
+let load m addr size : int =
   check m addr size;
   match size with
-  | 1 -> Int64.of_int (Bytes.get_int8 m.data addr)
-  | 2 -> Int64.of_int (Bytes.get_int16_le m.data addr)
-  | 4 -> Int64.of_int32 (Bytes.get_int32_le m.data addr)
-  | 8 -> Bytes.get_int64_le m.data addr
+  | 1 -> Bytes.get_int8 m.data addr
+  | 2 -> Bytes.get_int16_le m.data addr
+  | 4 -> Int32.to_int (Bytes.get_int32_le m.data addr)
+  | 8 ->
+    let v = Bytes.get_int64_le m.data addr in
+    let hi = Int64.to_int (Int64.shift_right v 62) in
+    if hi = 0 || hi = -1 then Int64.to_int v
+    else
+      fault "8-byte value %Ld at address %d is outside the 63-bit int range"
+        v addr
   | _ -> fault "unsupported load width %d" size
 
-let store m addr size (v : int64) : unit =
+let store m addr size (v : int) : unit =
   check m addr size;
   match size with
-  | 1 -> Bytes.set_uint8 m.data addr (Int64.to_int v land 0xff)
-  | 2 -> Bytes.set_uint16_le m.data addr (Int64.to_int v land 0xffff)
-  | 4 -> Bytes.set_int32_le m.data addr (Int64.to_int32 v)
-  | 8 -> Bytes.set_int64_le m.data addr v
+  | 1 -> Bytes.set_uint8 m.data addr (v land 0xff)
+  | 2 -> Bytes.set_uint16_le m.data addr (v land 0xffff)
+  | 4 -> Bytes.set_int32_le m.data addr (Int32.of_int v)
+  | 8 -> Bytes.set_int64_le m.data addr (Int64.of_int v)
   | _ -> fault "unsupported store width %d" size
 
 let load_float m addr size : float =

@@ -32,11 +32,13 @@ val free : t -> int -> unit
     i.e. whether an access there would not raise {!Fault}. *)
 val in_bounds : t -> int -> int -> bool
 
-(** Little-endian loads/stores of 1/2/4/8 bytes; integer loads
-    sign-extend (MiniC's all-signed model). *)
-val load : t -> int -> int -> int64
+(** Little-endian loads/stores of 1/2/4/8 bytes on native ints;
+    integer loads sign-extend (MiniC's all-signed model) and stores
+    keep the low [size] bytes. An 8-byte load whose 64-bit value does
+    not fit in a 63-bit [int] raises {!Fault}. *)
+val load : t -> int -> int -> int
 
-val store : t -> int -> int -> int64 -> unit
+val store : t -> int -> int -> int -> unit
 val load_float : t -> int -> int -> float
 val store_float : t -> int -> int -> float -> unit
 val blit : t -> src:int -> dst:int -> len:int -> unit

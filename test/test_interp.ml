@@ -203,6 +203,93 @@ let failure_tests =
       "int deep(int n){ int pad[512]; pad[0] = n; return deep(n + 1) + pad[0]; } int main(void){ return deep(0); }";
   ]
 
+(* [long] is exact or the machine raises: a value whose 64-bit
+   two's-complement form does not fit in OCaml's 63-bit int never comes
+   back as a different number, and 64-bit wraparound that lands back in
+   range stays exact. *)
+let long_range_tests =
+  let expect_runtime_error name src =
+    Alcotest.test_case name `Quick (fun () ->
+        match run src with
+        | exception Interp.Machine.Runtime_error _ -> ()
+        | code, out ->
+          Alcotest.failf "expected Runtime_error, got exit %d, output %S" code
+            out)
+  in
+  [
+    expect_runtime_error "literal 2^62"
+      "int main(void){ long x = 4611686018427387904L; return x > 0; }";
+    expect_runtime_error "multiply overflow"
+      "int main(void){ long a = 2147483648L; long b = a * a; return b > 0; }";
+    expect_runtime_error "multiply past 2^63"
+      "int main(void){ long a = 3037000500L; long b = a * a; return b < 0; }";
+    expect_runtime_error "8-byte load of a recast double 2.0"
+      "int main(void){ double d = 2.0; long *p = (long *)&d; long x = *p; \
+       return x != 0; }";
+    expect_runtime_error "pointer load of a recast double"
+      "int main(void){ double d = 2.0; char **p = (char **)&d; char *q = *p; \
+       return q != 0; }";
+    expect_runtime_error "add overflow"
+      "int main(void){ long m = 4611686018427387903L; m = m + 1L; return 0; }";
+    expect_runtime_error "subtract overflow"
+      "int main(void){ long m = -4611686018427387904L; m = m - 1L; return 0; }";
+    expect_runtime_error "negate the minimum"
+      "int main(void){ long m = -4611686018427387904L; m = -m; return 0; }";
+    expect_runtime_error "minimum divided by -1"
+      "int main(void){ long m = -4611686018427387904L; long d = -1L; m = m / d; \
+       return 0; }";
+    expect_runtime_error "shift left out of range"
+      "int main(void){ long a = 1L; int k = 62; a = a << k; return 0; }";
+    expect_runtime_error "float to long out of range"
+      "int main(void){ double d = 1e19; long x = (long)d; return x > 0; }";
+    check_output "wraparound back into range is exact"
+      {|int main(void){
+          long a = 4294967297L; long b = a * a;
+          long c = 4L; int k = 62; c = c << k;
+          long d = 3L; d = d << k;
+          long m = -4611686018427387904L;
+          long n = 4611686018427387903L;
+          printf("%ld %ld %ld %ld %ld %ld\n", b, c, d, m, n, m + n);
+          return 0; }|}
+      "8589934593 0 -4611686018427387904 -4611686018427387904 \
+       4611686018427387903 -1\n";
+    check_output "longs across 2^31 and 2^32"
+      {|int main(void){
+          long a = 2147483647L; long b = a + 1L; long c = -a - 2L;
+          long d = 4294967295L; long e = d + 1L; long f = e * 65536L;
+          printf("%ld %ld %ld %ld %x %ld\n", b, c, e, f, b, (long)(int)b);
+          return 0; }|}
+      "2147483648 -2147483649 4294967296 281474976710656 80000000 -2147483648\n";
+    check_output "8-byte values round-trip through memory"
+      {|int main(void){
+          long v[2]; long *p = v; char *q = (char *)v;
+          v[0] = -4611686018427387904L; v[1] = 4611686018427387903L;
+          printf("%ld %ld %d %d\n", *p, *(p + 1), q[7], q[15]);
+          return 0; }|}
+      "-4611686018427387904 4611686018427387903 -64 63\n";
+  ]
+
+(* Integer values are unboxed: a hook-free run of a workload allocates
+   (almost) nothing on the minor heap per simulated cycle. The count is
+   deterministic: one domain, no hooks, the same program. *)
+let allocation_tests =
+  List.map
+    (fun name ->
+      Alcotest.test_case (name ^ " minor words per cycle") `Quick (fun () ->
+          let w = Workloads.Registry.find name in
+          let p = Typecheck.parse_and_check ~file:name w.Workloads.Workload.source in
+          let m = Interp.Machine.load p in
+          let w0 = Gc.minor_words () in
+          ignore (Interp.Machine.run m);
+          let words = Gc.minor_words () -. w0 in
+          let cycles = m.Interp.Machine.st.Interp.Machine.cycles in
+          let per_cycle = words /. float_of_int cycles in
+          if per_cycle > 0.1 then
+            Alcotest.failf "%s: %.0f minor words over %d cycles = %.3f per cycle \
+                            (bound 0.1)"
+              name words cycles per_cycle))
+    [ "md5"; "256.bzip2" ]
+
 (* Cost accounting sanity: cycles and stats move as expected. *)
 let accounting_tests =
   [
@@ -320,6 +407,8 @@ let () =
       ("pointers", pointer_tests);
       ("control", control_tests);
       ("failures", failure_tests);
+      ("long range", long_range_tests);
+      ("allocation", allocation_tests);
       ("accounting", accounting_tests);
       ("properties", [ QCheck_alcotest.to_alcotest arith_agrees ]);
     ]

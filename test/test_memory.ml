@@ -18,10 +18,10 @@ let alloc_tests =
     Alcotest.test_case "reused block is zeroed" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 16 in
-        Interp.Memory.store m a 8 0x1122334455667788L;
+        Interp.Memory.store m a 8 0x1122334455667788;
         Interp.Memory.free m a;
         let b = Interp.Memory.alloc m 16 in
-        Alcotest.(check int64) "zeroed" 0L (Interp.Memory.load m b 8));
+        Alcotest.(check int) "zeroed" 0 (Interp.Memory.load m b 8));
     Alcotest.test_case "block_size" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 100 in
@@ -65,18 +65,18 @@ let accessor_tests =
     Alcotest.test_case "sign extension per width" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 8 in
-        Interp.Memory.store m a 1 0xFFL;
-        Alcotest.(check int64) "byte -1" (-1L) (Interp.Memory.load m a 1);
-        Interp.Memory.store m a 2 0x8000L;
-        Alcotest.(check int64) "short min" (-32768L) (Interp.Memory.load m a 2);
-        Interp.Memory.store m a 4 0xFFFFFFFFL;
-        Alcotest.(check int64) "int -1" (-1L) (Interp.Memory.load m a 4));
+        Interp.Memory.store m a 1 0xFF;
+        Alcotest.(check int) "byte -1" (-1) (Interp.Memory.load m a 1);
+        Interp.Memory.store m a 2 0x8000;
+        Alcotest.(check int) "short min" (-32768) (Interp.Memory.load m a 2);
+        Interp.Memory.store m a 4 0xFFFFFFFF;
+        Alcotest.(check int) "int -1" (-1) (Interp.Memory.load m a 4));
     Alcotest.test_case "little-endian layout" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 8 in
-        Interp.Memory.store m a 4 0x04030201L;
-        Alcotest.(check int64) "first byte" 1L (Interp.Memory.load m a 1);
-        Alcotest.(check int64) "fourth byte" 4L (Interp.Memory.load m (a + 3) 1));
+        Interp.Memory.store m a 4 0x04030201;
+        Alcotest.(check int) "first byte" 1 (Interp.Memory.load m a 1);
+        Alcotest.(check int) "fourth byte" 4 (Interp.Memory.load m (a + 3) 1));
     Alcotest.test_case "float roundtrip both widths" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 16 in
@@ -97,7 +97,7 @@ let accessor_tests =
         let b = Interp.Memory.alloc m 16 in
         Interp.Memory.fill m ~dst:a ~len:16 0xAB;
         Interp.Memory.blit m ~src:a ~dst:b ~len:16;
-        Alcotest.(check int64) "copied byte"
+        Alcotest.(check int) "copied byte"
           (Interp.Memory.load m a 1)
           (Interp.Memory.load m b 1));
   ]
@@ -116,7 +116,7 @@ let fault_tests =
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 8 in
         expect_fault "store past the arena" (fun () ->
-            Interp.Memory.store m (a + 1_000_000) 4 1L));
+            Interp.Memory.store m (a + 1_000_000) 4 1));
     Alcotest.test_case "double free faults" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 32 in
@@ -125,13 +125,25 @@ let fault_tests =
     Alcotest.test_case "null dereference faults" `Quick (fun () ->
         let m = Interp.Memory.create () in
         expect_fault "load *0" (fun () -> Interp.Memory.load m 0 8);
-        expect_fault "store *0" (fun () -> Interp.Memory.store m 0 4 7L));
+        expect_fault "store *0" (fun () -> Interp.Memory.store m 0 4 7));
     Alcotest.test_case "sub-base_address access faults" `Quick (fun () ->
         let m = Interp.Memory.create () in
         expect_fault "load below base" (fun () ->
             Interp.Memory.load m (Interp.Memory.base_address - 4) 4);
         expect_fault "store below base" (fun () ->
-            Interp.Memory.store m (Interp.Memory.base_address - 1) 1 1L));
+            Interp.Memory.store m (Interp.Memory.base_address - 1) 1 1));
+    Alcotest.test_case "8-byte value outside the int range faults" `Quick
+      (fun () ->
+        let m = Interp.Memory.create () in
+        let a = Interp.Memory.alloc m 8 in
+        (* the bits of the double 2.0: 2^62, one past max_int *)
+        Interp.Memory.store_float m a 8 2.0;
+        expect_fault "load of 2^62" (fun () -> Interp.Memory.load m a 8);
+        Alcotest.(check int) "high half" 0x40000000
+          (Interp.Memory.load m (a + 4) 4);
+        Interp.Memory.store m a 8 min_int;
+        Alcotest.(check int) "min_int loads back" min_int
+          (Interp.Memory.load m a 8));
     Alcotest.test_case "free of non-base address faults" `Quick (fun () ->
         let m = Interp.Memory.create () in
         let a = Interp.Memory.alloc m 32 in
@@ -181,10 +193,11 @@ let fault_tests =
           (Interp.Memory.find_block m (a + 17) = None));
   ]
 
-(* store/load roundtrip law over random values and widths *)
+(* store/load roundtrip law over random values and widths: a native
+   int stored at a width loads back sign-extended from that width *)
 let roundtrip_law =
   QCheck.Test.make ~count:300 ~name:"store/load roundtrip with truncation"
-    QCheck.(pair int64 (oneofl [ 1; 2; 4; 8 ]))
+    QCheck.(pair int (oneofl [ 1; 2; 4; 8 ]))
     (fun (v, width) ->
       let m = Interp.Memory.create () in
       let a = Interp.Memory.alloc m 8 in
@@ -192,10 +205,41 @@ let roundtrip_law =
       let back = Interp.Memory.load m a width in
       let bits = width * 8 in
       let expected =
-        if bits = 64 then v
-        else Int64.shift_right (Int64.shift_left v (64 - bits)) (64 - bits)
+        if bits = 64 then v else (v lsl (63 - bits)) asr (63 - bits)
       in
-      Int64.equal back expected)
+      back = expected)
+
+(* the same law over every 64-bit pattern in memory: a load returns the
+   sign-extended value when it fits in a native int, and an 8-byte
+   pattern outside the 63-bit range faults instead of loading as a
+   different number *)
+let raw_load_law =
+  QCheck.Test.make ~count:300 ~name:"raw bytes load exactly or fault"
+    QCheck.(
+      pair
+        (oneof
+           [
+             int64;
+             map Int64.of_int int;
+             oneofl
+               [ 0x4000000000000000L; 0xBFFFFFFFFFFFFFFFL; Int64.min_int;
+                 Int64.max_int; 0x3FFFFFFFFFFFFFFFL; 0xC000000000000000L ];
+           ])
+        (oneofl [ 1; 2; 4; 8 ]))
+    (fun (v, width) ->
+      let m = Interp.Memory.create () in
+      let a = Interp.Memory.alloc m 8 in
+      let raw = Bytes.create 8 in
+      Bytes.set_int64_le raw 0 v;
+      Interp.Memory.write_raw m a (Bytes.to_string raw);
+      let bits = width * 8 in
+      let expected =
+        Int64.shift_right (Int64.shift_left v (64 - bits)) (64 - bits)
+      in
+      let fits = Int64.equal (Int64.of_int (Int64.to_int expected)) expected in
+      match Interp.Memory.load m a width with
+      | back -> fits && back = Int64.to_int expected
+      | exception Interp.Memory.Fault _ -> (not fits) && width = 8)
 
 let () =
   Alcotest.run "memory"
@@ -203,5 +247,6 @@ let () =
       ("allocator", alloc_tests);
       ("accessors", accessor_tests);
       ("faults", fault_tests);
-      ("laws", [ QCheck_alcotest.to_alcotest roundtrip_law ]);
+      ("laws",
+        List.map QCheck_alcotest.to_alcotest [ roundtrip_law; raw_load_law ]);
     ]
